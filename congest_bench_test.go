@@ -4,14 +4,12 @@
 // port and its steady-state iteration tail beats the frozen-strategy
 // baseline by at least congestGainFactor, at 256 and 1024 ranks alike, with
 // exact survivor sums and a timeline that is bit-identical across 1/2/4
-// workers. This test measures it and writes BENCH_congest.json so CI (and
-// readers) get the numbers in machine-readable form.
+// workers. This test measures it; with ADAPCC_WRITE_BENCH=1 it also writes
+// BENCH_congest.json so readers get the numbers in machine-readable form.
 package adapcc
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -206,21 +204,15 @@ func congestGuardAt(t *testing.T, topoName string) []congestRow {
 // TestCongestGuard measures steady-state iteration tail under the identical
 // permanent PFC storm at 256 and 1024 ranks, frozen vs adaptive, asserts
 // the >=1.3x adaptation gain and the 1/2/4-worker bit-identity at each
-// size, and writes BENCH_congest.json. Every run's checksum is validated
+// size, and (with ADAPCC_WRITE_BENCH=1) writes BENCH_congest.json. Every run's checksum is validated
 // against the closed-form sums inside scale.Run, so passing this guard
 // also certifies survivor-sum exactness under the storm.
 func TestCongestGuard(t *testing.T) {
 	rows := congestGuardAt(t, congestTopo256)
 	rows = append(rows, congestGuardAt(t, congestTopo1024)...)
 
-	out, err := json.MarshalIndent(struct {
+	writeBenchFile(t, "BENCH_congest.json", struct {
 		GOMAXPROCS int          `json:"gomaxprocs"`
 		Rows       []congestRow `json:"rows"`
-	}{runtime.GOMAXPROCS(0), rows}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_congest.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	}{runtime.GOMAXPROCS(0), rows})
 }

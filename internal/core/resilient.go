@@ -310,53 +310,89 @@ func (a *AdapCC) activeCosts() *synth.Costs {
 
 // pruneUnreachable splits ranks into the largest mutually-reachable group
 // on the surviving topology and the rest. Round-trip reachability is what
-// the executor needs (AllReduce runs each path forward and reversed). Ties
-// between equally large groups break toward the lowest-ranked member.
+// the executor needs (AllReduce runs each path forward and reversed). It is
+// an equivalence relation, so the groups are the usable GPUs of each
+// strongly connected component of activeGraph. A component costs one
+// forward sweep over Out edges and one backward sweep over In edges,
+// confined to the forward set. Bases are taken in ascending rank order and
+// ranks already placed are skipped, so ties between equally large groups
+// break toward the lowest-ranked member.
 func (a *AdapCC) pruneUnreachable(ranks []int) (alive, dropped []int) {
 	g := a.activeGraph()
-	node := make(map[int]topology.NodeID, len(ranks))
-	var usable []int
-	for _, r := range ranks {
-		if a.deadRanks[r] {
+	gpus := g.GPUs()
+	sorted := append([]int(nil), ranks...)
+	sort.Ints(sorted)
+	usable := make([]int, 0, len(sorted))
+	node := make([]topology.NodeID, 0, len(sorted))
+	for _, r := range sorted {
+		i := sort.Search(len(gpus), func(i int) bool { return g.Node(gpus[i]).Rank >= r })
+		if a.deadRanks[r] || i == len(gpus) || g.Node(gpus[i]).Rank != r {
 			dropped = append(dropped, r)
 			continue
 		}
-		id, ok := g.GPUByRank(r)
-		if !ok {
-			dropped = append(dropped, r)
-			continue
-		}
-		node[r] = id
 		usable = append(usable, r)
+		node = append(node, gpus[i])
 	}
-	sort.Ints(usable)
-	mutual := func(x, y int) bool {
-		return g.ShortestPath(node[x], node[y]) != nil && g.ShortestPath(node[y], node[x]) != nil
-	}
-	var best []int
-	for _, base := range usable {
-		group := []int{base}
-		for _, r := range usable {
-			if r != base && mutual(base, r) {
-				group = append(group, r)
+
+	// fwd[v] and bwd[v] hold the number of the last component whose forward
+	// or backward sweep reached v, so the marks never need clearing. A
+	// backward sweep reaches exactly its component, so bwd[v] != 0 means v
+	// is placed.
+	fwd := make([]int32, g.NumNodes())
+	bwd := make([]int32, g.NumNodes())
+	queue := make([]topology.NodeID, 0, g.NumNodes())
+	var bestComp int32
+	bestSize := 0
+	left := len(usable) // usable ranks not yet placed
+	for bi, base := range node {
+		if left <= bestSize {
+			break // no unplaced group can be strictly larger
+		}
+		if bwd[base] != 0 {
+			continue
+		}
+		comp := int32(bi + 1)
+		fwd[base], queue = comp, append(queue[:0], base)
+		for h := 0; h < len(queue); h++ {
+			for _, eid := range g.Out(queue[h]) {
+				if to := g.Edge(eid).To; fwd[to] != comp {
+					fwd[to] = comp
+					queue = append(queue, to)
+				}
 			}
 		}
-		if len(group) > len(best) {
-			best = group
+		bwd[base], queue = comp, append(queue[:0], base)
+		for h := 0; h < len(queue); h++ {
+			for _, eid := range g.In(queue[h]) {
+				if from := g.Edge(eid).From; fwd[from] == comp && bwd[from] != comp {
+					bwd[from] = comp
+					queue = append(queue, from)
+				}
+			}
+		}
+		size := 0
+		for _, v := range node[bi:] {
+			if bwd[v] == comp {
+				size++
+			}
+		}
+		left -= size
+		if size > bestSize {
+			bestSize, bestComp = size, comp
 		}
 	}
-	sort.Ints(best)
-	inBest := make(map[int]bool, len(best))
-	for _, r := range best {
-		inBest[r] = true
+	if bestSize > 0 {
+		alive = make([]int, 0, bestSize)
 	}
-	for _, r := range usable {
-		if !inBest[r] {
+	for i, r := range usable {
+		if bwd[node[i]] == bestComp {
+			alive = append(alive, r)
+		} else {
 			dropped = append(dropped, r)
 		}
 	}
 	sort.Ints(dropped)
-	return best, dropped
+	return alive, dropped
 }
 
 // synthesizeLadder walks the degradation ladder for the survivors: the full

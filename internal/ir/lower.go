@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 
 	"adapcc/internal/strategy"
 )
@@ -147,11 +148,17 @@ func lowerReduceSub(p *Program, sc *strategy.SubCollective, mk func(chunkInSub i
 	for ci := 0; ci < nchunks; ci++ {
 		p.Chunks = append(p.Chunks, mk(ci))
 	}
+	members := treeMembers(parent)
+	phases := 1
+	if down {
+		phases = 2
+	}
+	p.Ops = slices.Grow(p.Ops, phases*2*len(members)*nchunks)
 
 	for ci := 0; ci < nchunks; ci++ {
 		c := base + ci
-		for r, par := range parent {
-			s := sendStep[r]
+		for _, r := range members {
+			par, s := parent[r], sendStep[r]
 			p.Ops = append(p.Ops,
 				Op{Kind: OpSend, Rank: r, Peer: par, Chunk: c, Step: s},
 				Op{Kind: OpReduce, Rank: par, Peer: r, Chunk: c, Step: s},
@@ -173,7 +180,8 @@ func lowerReduceSub(p *Program, sc *strategy.SubCollective, mk func(chunkInSub i
 		}
 		for ci := 0; ci < nchunks; ci++ {
 			c := base + ci
-			for r, par := range parent {
+			for _, r := range members {
+				par := parent[r]
 				s := finish + depth[par]
 				p.Ops = append(p.Ops,
 					Op{Kind: OpSend, Rank: par, Peer: r, Chunk: c, Step: s},
@@ -203,10 +211,13 @@ func lowerBroadcastSub(p *Program, sc *strategy.SubCollective, mk func(chunkInSu
 	for ci := 0; ci < nchunks; ci++ {
 		p.Chunks = append(p.Chunks, mk(ci))
 	}
+	members := treeMembers(source)
+	p.Ops = slices.Grow(p.Ops, (1+2*len(members))*nchunks)
 	for ci := 0; ci < nchunks; ci++ {
 		c := base + ci
 		p.Ops = append(p.Ops, Op{Kind: OpCopy, Rank: root, Peer: -1, Chunk: c, Step: 0})
-		for r, src := range source {
+		for _, r := range members {
+			src := source[r]
 			s := depth[src]
 			p.Ops = append(p.Ops,
 				Op{Kind: OpSend, Rank: src, Peer: r, Chunk: c, Step: s},
@@ -269,6 +280,18 @@ func treeEdges(sc *strategy.SubCollective, reversed bool) (map[int]int, error) {
 		edges[child] = other
 	}
 	return edges, nil
+}
+
+// treeMembers returns the non-root ranks of a tree (the keys of its
+// rank → parent map) in ascending order, so lowering emits the same op
+// order on every run.
+func treeMembers(tree map[int]int) []int {
+	members := make([]int, 0, len(tree))
+	for r := range tree {
+		members = append(members, r)
+	}
+	slices.Sort(members)
+	return members
 }
 
 // reduceSendSteps assigns each non-root rank the step at which it sends

@@ -3,7 +3,8 @@ package ir
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
 // Sentinel error classes. Verify wraps each with program context, so
@@ -29,12 +30,6 @@ var (
 	ErrPostcondition = errors.New("ir: postcondition failed")
 )
 
-// slot addresses one chunk's state at one rank (both as indices).
-type slot struct{ rank, chunk int }
-
-// xferKey identifies a point-to-point transfer for send/recv matching.
-type xferKey struct{ step, chunk, src, dst int }
-
 // Verify proves the program implements its collective: starting from the
 // precondition state, executing the ops in step order leaves every rank
 // holding exactly the chunks — with exactly the contribution sets — the
@@ -45,76 +40,40 @@ type xferKey struct{ step, chunk, src, dst int }
 // Semantics: all ops of a step read the state committed by previous
 // steps; all receives of a step commit together at its end. Data can
 // therefore never be forwarded in the step it arrives.
+//
+// The first error is deterministic: unmatched transfers are reported at
+// the lowest (step, chunk, src, dst), execution errors at the first
+// failing op of the first failing step in program order, and
+// postcondition failures at the lowest (rank, chunk).
 func Verify(p *Program) error {
-	n := len(p.Ranks)
 	if err := p.validateStructure(); err != nil {
 		return err
 	}
-
-	// state[slot] = contribution set currently held, or absent.
-	state := make(map[slot]contrib)
-	for s, c := range p.preconditions() {
-		state[s] = c
+	order, bounds := p.stepOrder()
+	if err := p.matchTransfers(order, bounds); err != nil {
+		return err
 	}
 
-	// Pair sends with receivers: every Send must have exactly as many
-	// matching Recv/Reduce ops at the same (step, chunk, src, dst), and
-	// vice versa. Our IR is point-to-point, so the counts must be equal
-	// (a multicast is expressed as multiple sends).
-	sends := make(map[xferKey]int)
-	recvs := make(map[xferKey]int)
-	for _, op := range p.Ops {
-		switch op.Kind {
-		case OpSend:
-			sends[xferKey{op.Step, op.Chunk, op.Rank, op.Peer}]++
-		case OpRecv, OpReduce:
-			recvs[xferKey{op.Step, op.Chunk, op.Peer, op.Rank}]++
-		}
+	// state and pending are dense (rank, chunk) tables (see slot); a nil
+	// entry is an absent chunk. Contribution sets in state are never
+	// mutated in place — writes replace them — so entries may share one.
+	state := p.preconditions()
+	type pendingWrite struct {
+		val  contrib
+		recv bool
 	}
-	for k, cnt := range sends {
-		if recvs[k] != cnt {
-			return fmt.Errorf("%w: %s: step %d chunk %d r%d -> r%d has %d send(s) but %d receive(s)",
-				ErrUnmatched, p.Name, k.step, k.chunk, k.src, k.dst, cnt, recvs[k])
-		}
-	}
-	for k, cnt := range recvs {
-		if sends[k] != cnt {
-			return fmt.Errorf("%w: %s: step %d chunk %d r%d -> r%d has %d receive(s) but %d send(s)",
-				ErrUnmatched, p.Name, k.step, k.chunk, k.src, k.dst, cnt, sends[k])
-		}
-	}
-
-	// Group ops by step, ascending.
-	byStep := make(map[int][]Op)
-	var steps []int
-	for _, op := range p.Ops {
-		if _, ok := byStep[op.Step]; !ok {
-			steps = append(steps, op.Step)
-		}
-		byStep[op.Step] = append(byStep[op.Step], op)
-	}
-	sort.Ints(steps)
-
-	for _, step := range steps {
-		ops := byStep[step]
+	pending := make([]pendingWrite, len(state))
+	var written []int
+	for g := 0; g+1 < len(bounds); g++ {
+		ops := order[bounds[g]:bounds[g+1]]
 
 		// Phase A: reads. Senders and copiers must hold their chunk in the
 		// state committed by earlier steps.
-		inflight := make(map[xferKey]contrib)
-		for _, op := range ops {
-			switch op.Kind {
-			case OpSend:
-				held, ok := state[slot{p.rankIndex(op.Rank), op.Chunk}]
-				if !ok {
-					return fmt.Errorf("%w: %s: %v: r%d does not hold chunk %d yet",
-						ErrUseBeforeRecv, p.Name, op, op.Rank, op.Chunk)
-				}
-				inflight[xferKey{op.Step, op.Chunk, op.Rank, op.Peer}] = held
-			case OpCopy:
-				if _, ok := state[slot{p.rankIndex(op.Rank), op.Chunk}]; !ok {
-					return fmt.Errorf("%w: %s: %v: r%d does not hold chunk %d yet",
-						ErrUseBeforeRecv, p.Name, op, op.Rank, op.Chunk)
-				}
+		for _, i := range ops {
+			op := p.Ops[i]
+			if (op.Kind == OpSend || op.Kind == OpCopy) && state[p.slot(op.Rank, op.Chunk)] == nil {
+				return fmt.Errorf("%w: %s: %v: r%d does not hold chunk %d yet",
+					ErrUseBeforeRecv, p.Name, op, op.Rank, op.Chunk)
 			}
 		}
 
@@ -122,44 +81,38 @@ func Verify(p *Program) error {
 		// committed together afterwards. At most one Recv may land on a
 		// slot per step; Reduces may stack on a slot if their contribution
 		// sets stay disjoint; a Recv and a Reduce on the same slot in the
-		// same step have no defined order.
-		type pendingWrite struct {
-			val     contrib
-			recvs   int
-			reduces int
-		}
-		pending := make(map[slot]*pendingWrite)
-		for _, op := range ops {
+		// same step have no defined order. The in-flight data of a receive
+		// is its sender's start-of-step copy, which phase A proved held.
+		for _, i := range ops {
+			op := p.Ops[i]
 			if op.Kind != OpRecv && op.Kind != OpReduce {
 				continue
 			}
-			src := inflight[xferKey{op.Step, op.Chunk, op.Peer, op.Rank}]
+			src := state[p.slot(op.Peer, op.Chunk)]
 			if src == nil {
-				// Matched counts guarantee a Send exists at this key, but it
-				// may itself have failed phase A only if we returned already;
-				// reaching here with nil means counts matched yet no sender
-				// held data — impossible, guard anyway.
+				// matchTransfers and phase A make this unreachable; guard anyway.
 				return fmt.Errorf("%w: %s: %v: no in-flight data", ErrUnmatched, p.Name, op)
 			}
-			sl := slot{p.rankIndex(op.Rank), op.Chunk}
-			pw := pending[sl]
+			sl := p.slot(op.Rank, op.Chunk)
+			pw := &pending[sl]
 			switch op.Kind {
 			case OpRecv:
-				if pw != nil {
+				if pw.val != nil {
 					return fmt.Errorf("%w: %s: %v: chunk %d at r%d already written this step",
 						ErrWriteConflict, p.Name, op, op.Chunk, op.Rank)
 				}
-				pending[sl] = &pendingWrite{val: src.clone(), recvs: 1}
+				*pw = pendingWrite{val: src, recv: true}
+				written = append(written, sl)
 			case OpReduce:
-				base, ok := state[sl]
-				if !ok {
+				base := state[sl]
+				if base == nil {
 					return fmt.Errorf("%w: %s: %v: r%d has no local chunk %d to reduce into",
 						ErrUseBeforeRecv, p.Name, op, op.Rank, op.Chunk)
 				}
-				if pw == nil {
-					pw = &pendingWrite{val: base.clone()}
-					pending[sl] = pw
-				} else if pw.recvs > 0 {
+				if pw.val == nil {
+					pw.val = base.clone()
+					written = append(written, sl)
+				} else if pw.recv {
 					return fmt.Errorf("%w: %s: %v: recv and reduce hit chunk %d at r%d in the same step",
 						ErrWriteConflict, p.Name, op, op.Chunk, op.Rank)
 				}
@@ -168,31 +121,128 @@ func Verify(p *Program) error {
 						ErrDoubleReduce, p.Name, op, src.ranks(p))
 				}
 				pw.val.union(src)
-				pw.reduces++
 			}
 		}
-		for sl, pw := range pending {
-			state[sl] = pw.val
+		for _, sl := range written {
+			state[sl] = pending[sl].val
+			pending[sl] = pendingWrite{}
 		}
+		written = written[:0]
 	}
 
-	// Postconditions.
+	// Postconditions, in (rank, chunk) order.
+	nc := len(p.Chunks)
 	for sl, want := range p.postconditions() {
-		got, ok := state[sl]
-		if !ok {
+		if want == nil {
+			continue
+		}
+		got := state[sl]
+		if got == nil {
 			return fmt.Errorf("%w: %s: r%d never receives chunk %d",
-				ErrPostcondition, p.Name, p.Ranks[sl.rank], sl.chunk)
+				ErrPostcondition, p.Name, p.Ranks[sl/nc], sl%nc)
 		}
 		if !got.equal(want) {
 			return fmt.Errorf("%w: %s: r%d chunk %d holds contributions %v, want %v",
-				ErrPostcondition, p.Name, p.Ranks[sl.rank], sl.chunk, got.ranks(p), contribRanks(want, p))
+				ErrPostcondition, p.Name, p.Ranks[sl/nc], sl%nc, got.ranks(p), want.ranks(p))
 		}
 	}
-	_ = n
 	return nil
 }
 
-func contribRanks(c contrib, p *Program) []int { return c.ranks(p) }
+// stepOrder groups the op indices by ascending step, program order within
+// a step: a counting sort over the distinct steps. Group g is
+// order[bounds[g]:bounds[g+1]].
+func (p *Program) stepOrder() (order, bounds []int) {
+	steps := make([]int, len(p.Ops))
+	for i, op := range p.Ops {
+		steps[i] = op.Step
+	}
+	slices.Sort(steps)
+	steps = slices.Compact(steps)
+	group := make([]int, len(p.Ops))
+	bounds = make([]int, len(steps)+1)
+	for i, op := range p.Ops {
+		group[i], _ = slices.BinarySearch(steps, op.Step)
+		bounds[group[i]+1]++
+	}
+	for g := range steps {
+		bounds[g+1] += bounds[g]
+	}
+	next := slices.Clone(bounds)
+	order = make([]int, len(p.Ops))
+	for i, g := range group {
+		order[next[g]] = i
+		next[g]++
+	}
+	return order, bounds
+}
+
+// matchTransfers pairs sends with receivers: every Send must have exactly
+// as many matching Recv/Reduce ops at the same (step, chunk, src, dst),
+// and vice versa. Our IR is point-to-point, so the counts must be equal (a
+// multicast is expressed as multiple sends). Step by step, the send and
+// receive keys are sorted and compared; the first position where the two
+// lists differ holds the lowest mismatched key.
+func (p *Program) matchTransfers(order, bounds []int) error {
+	n := uint64(len(p.Ranks))
+	key := func(chunk, src, dst int) uint64 {
+		return (uint64(chunk)*n+uint64(p.rankIndex(src)))*n + uint64(p.rankIndex(dst))
+	}
+	var sends, recvs []uint64
+	for g := 0; g+1 < len(bounds); g++ {
+		sends, recvs = sends[:0], recvs[:0]
+		for _, i := range order[bounds[g]:bounds[g+1]] {
+			switch op := p.Ops[i]; op.Kind {
+			case OpSend:
+				sends = append(sends, key(op.Chunk, op.Rank, op.Peer))
+			case OpRecv, OpReduce:
+				recvs = append(recvs, key(op.Chunk, op.Peer, op.Rank))
+			}
+		}
+		slices.Sort(sends)
+		slices.Sort(recvs)
+		i := 0
+		for i < len(sends) && i < len(recvs) && sends[i] == recvs[i] {
+			i++
+		}
+		var k uint64
+		switch {
+		case i == len(sends) && i == len(recvs):
+			continue
+		case i == len(sends):
+			k = recvs[i]
+		case i == len(recvs):
+			k = sends[i]
+		default:
+			k = min(sends[i], recvs[i])
+		}
+		ns, nr := count(sends, k), count(recvs, k)
+		step, chunk, src, dst := p.Ops[order[bounds[g]]].Step, k/(n*n), p.Ranks[k/n%n], p.Ranks[k%n]
+		if ns > 0 {
+			return fmt.Errorf("%w: %s: step %d chunk %d r%d -> r%d has %d send(s) but %d receive(s)",
+				ErrUnmatched, p.Name, step, chunk, src, dst, ns, nr)
+		}
+		return fmt.Errorf("%w: %s: step %d chunk %d r%d -> r%d has %d receive(s) but %d send(s)",
+			ErrUnmatched, p.Name, step, chunk, src, dst, nr, ns)
+	}
+	return nil
+}
+
+// count returns how often k occurs in the sorted keys.
+func count(keys []uint64, k uint64) int {
+	lo, _ := slices.BinarySearch(keys, k)
+	hi := lo
+	for hi < len(keys) && keys[hi] == k {
+		hi++
+	}
+	return hi - lo
+}
+
+// slot is the index of (rank, chunk) in the verifier's dense tables:
+// rank-major, so ascending indices run in (rank, chunk) order.
+func (p *Program) slot(rank, chunk int) int {
+	return p.rankIndex(rank)*len(p.Chunks) + chunk
+}
 
 // validateStructure checks the program shell before any simulation.
 func (p *Program) validateStructure() error {
@@ -217,6 +267,11 @@ func (p *Program) validateStructure() error {
 	}
 	if len(p.Chunks) == 0 {
 		return fmt.Errorf("%w: %s: no chunks", ErrProgram, p.Name)
+	}
+	// The dense slot tables and the transfer keys (chunk, src, dst) packed
+	// into a uint64 need ranks × chunks to stay below 2^32.
+	if len(p.Chunks) > math.MaxUint32/n {
+		return fmt.Errorf("%w: %s: %d ranks × %d chunks exceed 2^32 slots", ErrProgram, p.Name, n, len(p.Chunks))
 	}
 
 	// Chunk-table coverage: the chunk roles must span the collective's
@@ -285,59 +340,75 @@ func (p *Program) validateStructure() error {
 	return nil
 }
 
-// preconditions derives the initial chunk state from the collective.
-func (p *Program) preconditions() map[slot]contrib {
-	n := len(p.Ranks)
-	pre := make(map[slot]contrib)
+// preconditions derives the initial chunk state as a dense slot table.
+func (p *Program) preconditions() []contrib {
+	n, nc := len(p.Ranks), len(p.Chunks)
+	pre := make([]contrib, n*nc)
+	single := p.singletons()
 	for ci, c := range p.Chunks {
 		switch p.Collective {
 		case Broadcast:
 			ri := p.rankIndex(p.Root)
-			pre[slot{ri, ci}] = singleton(n, ri)
+			pre[ri*nc+ci] = single(ri)
 		case Reduce, AllReduce, ReduceScatter:
 			// Every rank starts with its own contribution for every chunk.
 			for ri := 0; ri < n; ri++ {
-				pre[slot{ri, ci}] = singleton(n, ri)
+				pre[ri*nc+ci] = single(ri)
 			}
 		case AllGather:
 			// Shard s starts at rank index s only.
-			pre[slot{c.Shard, ci}] = singleton(n, c.Shard)
+			pre[c.Shard*nc+ci] = single(c.Shard)
 		case AlltoAll:
 			ri := p.rankIndex(c.Src)
-			pre[slot{ri, ci}] = singleton(n, ri)
+			pre[ri*nc+ci] = single(ri)
 		}
 	}
 	return pre
 }
 
-// postconditions derives the required final chunk state.
-func (p *Program) postconditions() map[slot]contrib {
-	n := len(p.Ranks)
-	post := make(map[slot]contrib)
+// postconditions derives the required final chunk state as a dense slot
+// table; nil entries carry no requirement.
+func (p *Program) postconditions() []contrib {
+	n, nc := len(p.Ranks), len(p.Chunks)
+	post := make([]contrib, n*nc)
+	single := p.singletons()
+	full := fullContrib(n)
 	for ci, c := range p.Chunks {
 		switch p.Collective {
 		case Broadcast:
-			root := singleton(n, p.rankIndex(p.Root))
+			root := single(p.rankIndex(p.Root))
 			for ri := 0; ri < n; ri++ {
-				post[slot{ri, ci}] = root
+				post[ri*nc+ci] = root
 			}
 		case Reduce:
-			post[slot{p.rankIndex(p.Root), ci}] = fullContrib(n)
+			post[p.rankIndex(p.Root)*nc+ci] = full
 		case AllReduce:
-			full := fullContrib(n)
 			for ri := 0; ri < n; ri++ {
-				post[slot{ri, ci}] = full
+				post[ri*nc+ci] = full
 			}
 		case ReduceScatter:
-			post[slot{c.Shard, ci}] = fullContrib(n)
+			post[c.Shard*nc+ci] = full
 		case AllGather:
-			src := singleton(n, c.Shard)
+			src := single(c.Shard)
 			for ri := 0; ri < n; ri++ {
-				post[slot{ri, ci}] = src
+				post[ri*nc+ci] = src
 			}
 		case AlltoAll:
-			post[slot{p.rankIndex(c.Dst), ci}] = singleton(n, p.rankIndex(c.Src))
+			post[p.rankIndex(c.Dst)*nc+ci] = single(p.rankIndex(c.Src))
 		}
 	}
 	return post
+}
+
+// singletons returns a memoizing constructor of the one-member
+// contribution sets, so slots requiring the same set share it.
+func (p *Program) singletons() func(ri int) contrib {
+	n := len(p.Ranks)
+	memo := make([]contrib, n)
+	return func(ri int) contrib {
+		if memo[ri] == nil {
+			memo[ri] = singleton(n, ri)
+		}
+		return memo[ri]
+	}
 }

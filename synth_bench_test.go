@@ -1,7 +1,7 @@
 // Synthesis-scale benchmarks: full search vs sketch-guided vs incremental
 // patching at 256, 1024 and 4096 ranks, with the CI guard that keeps
-// re-synthesis (the recovery path's latency) honest. Measurements land in
-// BENCH_synth.json.
+// re-synthesis (the recovery path's latency) honest. With
+// ADAPCC_WRITE_BENCH=1 measurements land in BENCH_synth.json.
 //
 // Two notions of cost are recorded per row. wall_ms is host wall time —
 // useful for sizing, but it inherits the evaluator's superlinear growth in
@@ -16,7 +16,6 @@
 package adapcc
 
 import (
-	"encoding/json"
 	"os"
 	"sort"
 	"testing"
@@ -58,7 +57,8 @@ func medianDuration(ds []time.Duration) time.Duration {
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // TestSynthScaleGuard measures full, sketch-guided and incremental
-// re-synthesis at each world size, writes BENCH_synth.json, and asserts:
+// re-synthesis at each world size, writes BENCH_synth.json (with
+// ADAPCC_WRITE_BENCH=1), and asserts:
 //
 //   - the incremental patch is >=5x faster (wall clock) than the full
 //     search at every measured scale — the 1024-rank row is the
@@ -188,13 +188,7 @@ func TestSynthScaleGuard(t *testing.T) {
 		}
 	}
 
-	out, err := json.MarshalIndent(struct {
+	writeBenchFile(t, "BENCH_synth.json", struct {
 		Rows []synthRow `json:"rows"`
-	}{rows}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_synth.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	}{rows})
 }
