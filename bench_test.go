@@ -431,8 +431,9 @@ func BenchmarkAblationNCCLAlgorithm(b *testing.B) {
 }
 
 // BenchmarkCompose measures the composed collectives built on the public
-// API: AllGather (N broadcasts), ReduceScatter (N reduces) and a
-// Gather/Scatter pair, on the 2x4 homogeneous cluster.
+// API: AllGather (one multi-root broadcast op), ReduceScatter (one
+// multi-root reduce op) and a Gather/Scatter pair, on the 2x4 homogeneous
+// cluster.
 func BenchmarkCompose(b *testing.B) {
 	cl, err := cluster.Homogeneous(topology.TransportRDMA, 2, 4)
 	if err != nil {

@@ -126,23 +126,6 @@ func MakeInputs(ranks []int, bytes int64) map[int][]float32 {
 	return in
 }
 
-// MakePayloads builds deterministic per-rank payloads for a request: dense
-// wraps MakeInputs tensors, phantom synthesises provenance-only inputs.
-func MakePayloads(ranks []int, bytes int64, mode payload.Mode) map[int]payload.Payload {
-	out := make(map[int]payload.Payload, len(ranks))
-	if mode == payload.Phantom {
-		elems := int(bytes / 4)
-		for _, r := range ranks {
-			out[r] = payload.PhantomInput(r, elems)
-		}
-		return out
-	}
-	for r, v := range MakeInputs(ranks, bytes) {
-		out[r] = payload.WrapDense(v)
-	}
-	return out
-}
-
 // Measure synchronously runs one collective on a backend and returns the
 // elapsed virtual time (it drains the engine). Phantom requests skip input
 // materialisation entirely. Options pass through to Backend.Run.

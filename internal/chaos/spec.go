@@ -517,11 +517,6 @@ type Window struct {
 	Start, End time.Duration
 }
 
-// Covers reports whether the window is active at t (relative to Arm).
-func (w Window) Covers(t time.Duration) bool {
-	return t >= w.Start && (w.End == 0 || t < w.End)
-}
-
 // Permanent reports whether the window never closes.
 func (w Window) Permanent() bool { return w.End == 0 }
 
@@ -548,39 +543,6 @@ func (s Spec) EdgeFaultEnd(edge topology.EdgeID) (end time.Duration, permanent b
 		if w.Edge != edge {
 			continue
 		}
-		if w.Permanent() {
-			permanent = true
-			continue
-		}
-		if w.End > end {
-			end = w.End
-		}
-	}
-	return end, permanent
-}
-
-// RankFaultEnd is EdgeFaultEnd for worker faults.
-func (s Spec) RankFaultEnd(rank int) (end time.Duration, permanent bool) {
-	for _, w := range s.Windows() {
-		if w.Rank < 0 || w.Rank != rank {
-			continue
-		}
-		if w.Permanent() {
-			permanent = true
-			continue
-		}
-		if w.End > end {
-			end = w.End
-		}
-	}
-	return end, permanent
-}
-
-// Horizon returns when the last bounded fault window closes and whether any
-// window is permanent — after (horizon, false), the infrastructure is fully
-// healthy again and healing should eventually re-admit everything.
-func (s Spec) Horizon() (end time.Duration, permanent bool) {
-	for _, w := range s.Windows() {
 		if w.Permanent() {
 			permanent = true
 			continue

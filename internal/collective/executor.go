@@ -545,10 +545,11 @@ func (s *subRun) setupBroadcast() {
 	s.expectedEvents = len(s.chunks) * len(s.flows)
 }
 
-// setupAlltoAll computes block layouts per flow: each partition is split
-// into n equal blocks of floor(len/n) elements (slot k of sender j goes to
-// rank k and lands in the receiver's slot j); the sub-element-count tail
-// that does not divide evenly (< n elements per partition) stays local.
+// setupAlltoAll computes block layouts per flow: the tensor is split into
+// n equal blocks of floor(len/n) elements (block k of sender j goes to
+// rank k and lands in the receiver's block j), and each partition carries
+// its share of every block (alltoallShare). The tail that does not divide
+// evenly (< n elements) stays local.
 func (s *subRun) setupAlltoAll() {
 	for _, r := range s.op.st.Participants() {
 		s.participantsSorted = append(s.participantsSorted, r)
@@ -557,6 +558,7 @@ func (s *subRun) setupAlltoAll() {
 		s.rankIndex[r] = i
 	}
 	n := len(s.participantsSorted)
+	total := elemsOf(s.op.st.TotalBytes)
 	chunkElems := elemsOf(s.sc.ChunkBytes)
 	if chunkElems <= 0 {
 		chunkElems = 1
@@ -567,10 +569,8 @@ func (s *subRun) setupAlltoAll() {
 		if !s.op.active[f.SrcRank] {
 			continue
 		}
-		srcIdx := s.rankIndex[f.SrcRank]
-		dstIdx := s.rankIndex[f.DstRank]
-		src := equalBlock(s.pspan, n, dstIdx)
-		dst := equalBlock(s.pspan, n, srcIdx)
+		src := alltoallShare(s.pspan, total, n, s.rankIndex[f.DstRank])
+		dst := alltoallShare(s.pspan, total, n, s.rankIndex[f.SrcRank])
 		if src.Len() == 0 {
 			continue
 		}
@@ -638,18 +638,22 @@ func (s *subRun) startBroadcast() {
 
 func (s *subRun) startAlltoAll() {
 	n := len(s.participantsSorted)
+	total := elemsOf(s.op.st.TotalBytes)
+	last := s.idx == len(s.op.st.SubCollectives)-1
 	for _, rank := range s.participantsSorted {
 		if !s.op.active[rank] {
 			continue
 		}
-		// Self block plus the undivided tail: local copies.
-		idx := s.rankIndex[rank]
-		sp := equalBlock(s.pspan, n, idx)
+		// This partition's share of the self block, plus (once, in the last
+		// partition) the undivided tail: local copies.
+		sp := alltoallShare(s.pspan, total, n, s.rankIndex[rank])
 		out := s.op.output(rank)
 		in := s.op.inputs[rank]
 		out.View(sp.Start, sp.End).CopyFrom(in.View(sp.Start, sp.End))
-		tail := alltoallTail(s.pspan, n)
-		out.View(tail.Start, tail.End).CopyFrom(in.View(tail.Start, tail.End))
+		if last {
+			tail := alltoallTail(span{End: total}, n)
+			out.View(tail.Start, tail.End).CopyFrom(in.View(tail.Start, tail.End))
+		}
 	}
 	for fi := range s.flows {
 		fr := &s.flows[fi]
@@ -992,10 +996,9 @@ func (s *subRun) broadcastDelivered(node topology.NodeID, msg chunkMsg) {
 func (s *subRun) alltoallDelivered(msg chunkMsg) {
 	fr := &s.flows[msg.flowIdx]
 	srcChunk := fr.blockChunks[msg.chunk]
-	// Map the chunk's offset within the source block onto the
-	// receiver-side block (blocks are equal length by construction).
-	srcBlock := equalBlock(s.pspan, len(s.participantsSorted), s.rankIndex[fr.f.DstRank])
-	offset := srcChunk.Start - srcBlock.Start
+	// Map the chunk's offset within the source share onto the
+	// receiver-side share (both are the same slice of equal blocks).
+	offset := srcChunk.Start - fr.blockChunks[0].Start
 	dst := s.op.output(fr.f.DstRank)
 	dst.View(fr.blockDst.Start+offset, fr.blockDst.Start+offset+srcChunk.Len()).CopyFrom(msg.data)
 	s.op.remaining.Done()

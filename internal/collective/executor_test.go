@@ -563,3 +563,52 @@ func TestExecuteXMLParsedStrategy(t *testing.T) {
 		}
 	}
 }
+
+// TestAlltoAllPartitionedLayout pins AlltoAll's block layout when
+// synthesis splits the op into several sub-collectives (the testbed picks
+// M=4 at these sizes): destination block q is [q·B, (q+1)·B) of the whole
+// tensor with B = len/n, whatever the partitioning, and only the global
+// tail of fewer than n elements stays local.
+func TestAlltoAllPartitionedLayout(t *testing.T) {
+	for _, bytes := range []int64{128 << 10, 256 << 10} {
+		e := testbedEnv(t)
+		ranks := ranksOf(e.c)
+		res, err := synth.Synthesize(e.costs, synth.Request{
+			Primitive: strategy.AlltoAll, Bytes: bytes, Ranks: ranks, Root: -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := len(res.Strategy.SubCollectives); m < 2 {
+			t.Fatalf("%d B: synthesis picked M=%d; the test needs a partitioned AlltoAll", bytes, m)
+		}
+		elems := elemsOf(bytes)
+		inputs := pattern(ranks, elems)
+		var got Result
+		if err := e.ex.Run(Op{Strategy: res.Strategy, Inputs: inputs, OnDone: func(r Result) { got = r }}); err != nil {
+			t.Fatal(err)
+		}
+		e.eng.Run()
+		n := len(ranks)
+		block := elems / n
+		for ki, k := range ranks {
+			out := got.Outputs[k]
+			if out == nil {
+				t.Fatalf("%d B: rank %d got no output", bytes, k)
+			}
+			for ji, j := range ranks {
+				for i := 0; i < block; i++ {
+					if want := inputs[j][ki*block+i]; out[ji*block+i] != want {
+						t.Fatalf("%d B: rank %d elem %d = %v, want rank %d's elem %d (%v)",
+							bytes, k, ji*block+i, out[ji*block+i], j, ki*block+i, want)
+					}
+				}
+			}
+			for i := n * block; i < elems; i++ {
+				if out[i] != inputs[k][i] {
+					t.Fatalf("%d B: rank %d tail elem %d = %v, want local %v", bytes, k, i, out[i], inputs[k][i])
+				}
+			}
+		}
+	}
+}

@@ -48,7 +48,7 @@ func partitionSpans(s *strategy.Strategy) ([]span, error) {
 	return spans, nil
 }
 
-// equalBlock splits a partition span into `participants` equal blocks of
+// equalBlock splits a span into `participants` equal blocks of
 // floor(len/participants) elements and returns the idx-th. The tail that
 // does not divide evenly (fewer than `participants` elements) is not part
 // of any block; AlltoAll keeps it local (see alltoallTail).
@@ -58,10 +58,21 @@ func equalBlock(p span, participants, idx int) span {
 	return span{Start: start, End: start + base}
 }
 
-// alltoallTail is the partition suffix not covered by equal blocks.
+// alltoallTail is the span suffix not covered by equal blocks.
 func alltoallTail(p span, participants int) span {
 	base := p.Len() / participants
 	return span{Start: p.Start + participants*base, End: p.End}
+}
+
+// alltoallShare returns the part of AlltoAll block idx that partition p
+// carries. Blocks are equalBlocks of the whole tensor of total elements,
+// whatever the partitioning; every partition carries the same relative
+// slice [p.Start/participants, p.End/participants) of each block, so
+// adjacent partitions' slices tile every block exactly. With a single
+// partition the share is the whole block.
+func alltoallShare(p span, total, participants, idx int) span {
+	b := equalBlock(span{End: total}, participants, idx)
+	return span{Start: b.Start + p.Start/participants, End: b.Start + p.End/participants}
 }
 
 // chunkSpans slices a span into pipeline chunks of at most chunkElems.

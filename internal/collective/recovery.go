@@ -18,7 +18,6 @@ const (
 	DefaultDeadlineFloor = 2 * time.Millisecond
 	DefaultMaxRetries    = 4
 	DefaultRetryBackoff  = 500 * time.Microsecond
-	DefaultStallTimeout  = 250 * time.Millisecond
 )
 
 // Recovery configures chunk-granularity fault detection for one collective
@@ -42,7 +41,8 @@ type Recovery struct {
 	Backoff time.Duration
 	// StallTimeout is the op-level progress deadline: if no chunk arrives,
 	// no retry fires and no kernel retires for this long, the op declares
-	// a stall fault (default 250 ms; 0 keeps the chunk deadlines only).
+	// a stall fault. Zero disables the watchdog, leaving the chunk
+	// deadlines only.
 	StallTimeout time.Duration
 	// OnFault receives the first (and only) fault declaration of the op.
 	// The op is dead afterwards: its OnDone never fires, and the caller —

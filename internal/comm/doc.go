@@ -40,7 +40,8 @@
 // The convention: a constructor or entry point takes a variadic ...Option;
 // each With* option is a function mutating the package's (still exported,
 // for inspection) options struct; zero options mean the documented
-// defaults. Struct-typed variants (core.NewWithOptions, train.NewTrainer,
-// core.RunResilientWithOptions) remain as deprecated wrappers for one
-// release. See ExampleManager for the group API end to end.
+// defaults. Each entry point has this one form, with no struct-typed twin;
+// the opt-in healing and gray-failure subsystems take their options struct
+// directly (core.AdapCC.EnableHealing, EnableGrayfail). See ExampleManager
+// for the group API end to end.
 package comm

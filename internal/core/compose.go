@@ -7,7 +7,6 @@ import (
 
 	"adapcc/internal/backend"
 	"adapcc/internal/collective"
-	"adapcc/internal/sim"
 	"adapcc/internal/strategy"
 )
 
@@ -15,10 +14,9 @@ import (
 // r is the concatenation of all shards in rank order. It runs as ONE
 // multi-root Broadcast assembly (synth.MultiRoot): n out-trees, the one
 // rooted at rank i carrying shard i, executed as a single op — a single
-// synthesised strategy, a single setup, a single completion — instead of
-// the previous one-Broadcast-per-root composition (surviving unexported as
-// composedAllGather). With verification enabled the assembly is lowered
-// to IR and proven to deliver every shard everywhere before running.
+// synthesised strategy, a single setup, a single completion. With
+// verification enabled the assembly is lowered to IR and proven to deliver
+// every shard everywhere before running.
 //
 // shards maps rank → its shard; every shard must have equal length.
 // onDone receives rank → concatenated tensor and the elapsed time.
@@ -72,9 +70,8 @@ func (a *AdapCC) AllGather(ranks []int, shards map[int][]float32, onDone func(ma
 // ReduceScatter reduces the full tensors element-wise and leaves each
 // rank with its own shard of the sum (rank i gets the i-th of len(ranks)
 // equal slices). It runs as ONE multi-root Reduce assembly: n in-trees,
-// the one rooted at rank i reducing shard i, executed as a single op —
-// the per-root composition it replaced is gone. The tensor length must be
-// divisible by the rank count.
+// the one rooted at rank i reducing shard i, executed as a single op. The
+// tensor length must be divisible by the rank count.
 func (a *AdapCC) ReduceScatter(ranks []int, tensors map[int][]float32, onDone func(map[int][]float32, time.Duration), opts ...backend.RunOption) error {
 	ranks, total, err := validateTensors(a, ranks, tensors)
 	if err != nil {
@@ -179,66 +176,4 @@ func validateTensors(a *AdapCC, ranks []int, tensors map[int][]float32) ([]int, 
 		return nil, 0, fmt.Errorf("empty tensors")
 	}
 	return ranks, total, nil
-}
-
-// composeDeps is the slice of AdapCC the per-root composed collectives
-// depend on, injectable so tests can fake executor behaviour (e.g. a
-// backend that elides root outputs).
-type composeDeps struct {
-	run      func(backend.Request, ...backend.RunOption) error
-	now      func() sim.Time
-	allRanks func() []int
-}
-
-func (a *AdapCC) composeDeps() composeDeps {
-	return composeDeps{run: a.Run, now: a.env.Engine.Now, allRanks: a.env.AllRanks}
-}
-
-// composedAllGather is the paper's API-layer construction (Sec. IV-D): one
-// Broadcast per GPU, all running concurrently over synthesised trees.
-// AllGather's single multi-root op superseded it as the public route; it
-// survives unexported as the one per-root fallback for backends without
-// multi-root synthesis (its ReduceScatter sibling had no such caller left
-// and is gone). Options are threaded through to every per-root Run, so
-// group and traffic-class routing applies.
-func composedAllGather(deps composeDeps, ranks []int, shardLen int, shards map[int][]float32, onDone func(map[int][]float32, time.Duration), opts ...backend.RunOption) error {
-	start := deps.now()
-	results := make(map[int][]float32, len(ranks))
-	for _, r := range ranks {
-		results[r] = make([]float32, shardLen*len(ranks))
-	}
-	barrier := sim.NewCountdown(len(ranks), func() {
-		if onDone != nil {
-			onDone(results, deps.now()-start)
-		}
-	})
-	bytes := int64(shardLen) * 4
-	for slot, root := range ranks {
-		slot, root := slot, root
-		inputs := make(map[int][]float32, len(ranks))
-		for _, r := range ranks {
-			inputs[r] = shards[root] // only the root's input is read
-		}
-		err := deps.run(backend.Request{
-			Primitive: strategy.Broadcast,
-			Bytes:     bytes,
-			Ranks:     ranks,
-			Root:      root,
-			Inputs:    inputs,
-			OnDone: func(res collective.Result) {
-				for _, r := range ranks {
-					out := res.Outputs[r]
-					if out == nil && r == root {
-						out = shards[root]
-					}
-					copy(results[r][slot*shardLen:(slot+1)*shardLen], out)
-				}
-				barrier.Done()
-			},
-		}, opts...)
-		if err != nil {
-			return fmt.Errorf("core: allgather broadcast from %d: %w", root, err)
-		}
-	}
-	return nil
 }

@@ -9,7 +9,6 @@ import (
 	"adapcc/internal/collective"
 	"adapcc/internal/fabric"
 	"adapcc/internal/metrics"
-	"adapcc/internal/sim"
 	"adapcc/internal/strategy"
 	"adapcc/internal/topology"
 )
@@ -76,9 +75,6 @@ func TestGroupedCollectivesCarryClass(t *testing.T) {
 		{"scatter", func(opt backend.RunOption) error {
 			return a.Scatter(ranks, ranks[0], tensors[ranks[0]], nil, opt)
 		}},
-		{"composed-allgather", func(opt backend.RunOption) error {
-			return composedAllGather(a.composeDeps(), ranks, 1<<14, shards, nil, opt)
-		}},
 	}
 	for _, tc := range calls {
 		class := env.Fabric.NewClass(fabric.Class{Name: "grp-" + tc.name, Weight: 2})
@@ -91,40 +87,6 @@ func TestGroupedCollectivesCarryClass(t *testing.T) {
 		if !classShareSeen(reg, "grp-"+tc.name) {
 			t.Errorf("%s: no fabric traffic carried class grp-%s — its RunOption was dropped", tc.name, tc.name)
 		}
-	}
-}
-
-// TestComposedAllGatherElidedRootOutput pins the nil-root-output guard on
-// the surviving per-root fallback: a backend that elides a root's
-// self-delivery (its output equals its own input slice) must not crash the
-// composition, and each root's own slot must fall back to its shard.
-func TestComposedAllGatherElidedRootOutput(t *testing.T) {
-	ranks := []int{0, 1}
-	shards := map[int][]float32{0: {5, 6}, 1: {7, 8}}
-	deps := composeDeps{
-		run: func(req backend.Request, opts ...backend.RunOption) error {
-			req.OnDone(collective.Result{Outputs: map[int][]float32{}})
-			return nil
-		},
-		now:      func() sim.Time { return 0 },
-		allRanks: func() []int { return ranks },
-	}
-	var results map[int][]float32
-	err := composedAllGather(deps, ranks, 2, shards, func(res map[int][]float32, _ time.Duration) {
-		results = res
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results == nil {
-		t.Fatal("allgather never completed")
-	}
-	// Each root's own slot must carry its shard via the fallback.
-	if got := results[0]; got[0] != 5 || got[1] != 6 {
-		t.Errorf("rank 0 result = %v, want own shard [5 6] at slot 0", got)
-	}
-	if got := results[1]; got[2] != 7 || got[3] != 8 {
-		t.Errorf("rank 1 result = %v, want own shard [7 8] at slot 1", got)
 	}
 }
 

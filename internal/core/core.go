@@ -14,6 +14,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -26,7 +27,6 @@ import (
 	"adapcc/internal/health"
 	"adapcc/internal/metrics"
 	"adapcc/internal/profile"
-	"adapcc/internal/relay"
 	"adapcc/internal/strategy"
 	"adapcc/internal/synth"
 	"adapcc/internal/topology"
@@ -40,8 +40,6 @@ type Options struct {
 	M int
 	// ExactM pins M instead of treating it as a cap (Fig. 19a sweep).
 	ExactM bool
-	// ChunkGrid overrides the chunk-size search grid.
-	ChunkGrid []int64
 	// SkipProfiling makes the synthesizer run on nominal hardware labels
 	// (the profiling ablation).
 	SkipProfiling bool
@@ -75,11 +73,6 @@ func WithExactM(m int) Option {
 	return func(o *Options) { o.M, o.ExactM = m, true }
 }
 
-// WithChunkGrid overrides the chunk-size search grid.
-func WithChunkGrid(grid ...int64) Option {
-	return func(o *Options) { o.ChunkGrid = grid }
-}
-
 // WithSkipProfiling makes the synthesizer run on nominal hardware labels
 // instead of profiled ones (the profiling ablation; also what keeps
 // timing independent of the profiling phase's seed).
@@ -93,6 +86,20 @@ func WithSkipProfiling() Option {
 func WithVerify() Option {
 	return func(o *Options) { o.Verify = true }
 }
+
+// WithSketch restricts every synthesis of the instance with a
+// communication sketch (synth.Sketch): leader hints, ring orientation,
+// hierarchy cut, candidate-family allow/deny and a pinned chunk size. The
+// sketch is validated by New (ErrInvalidOption wrapping the synth error);
+// a sketch that is well-formed but infeasible for a given request fails
+// that request with synth.ErrInfeasibleSketch.
+func WithSketch(sk *synth.Sketch) Option {
+	return func(o *Options) { o.Sketch = sk }
+}
+
+// ErrInvalidOption is wrapped by New's option-validation failures; match
+// with errors.Is.
+var ErrInvalidOption = errors.New("core: invalid option")
 
 // AdapCC is one job-wide library instance (logically replicated on every
 // worker; the controller modules run on rank 0).
@@ -149,10 +156,9 @@ type AdapCC struct {
 	lastDelta  *synth.Delta
 
 	// Elastic healing (heal.go): the background monitor re-admitting
-	// excluded hardware, the last coordinator to tell about healed ranks,
-	// and the user observers. All nil/free until EnableHealing.
+	// excluded hardware and the user observers. All nil/free until
+	// EnableHealing.
 	healer        *health.Monitor
-	healCo        *relay.Coordinator
 	healOnHeal    func(health.Event)
 	healOnCondemn func(health.Event)
 
@@ -188,13 +194,6 @@ func New(env *backend.Env, options ...Option) (*AdapCC, error) {
 	for _, o := range options {
 		o(&opts)
 	}
-	return NewWithOptions(env, opts)
-}
-
-// NewWithOptions is New over an explicit Options struct.
-//
-// Deprecated: use New with With* functional options.
-func NewWithOptions(env *backend.Env, opts Options) (*AdapCC, error) {
 	if env == nil {
 		return nil, fmt.Errorf("core: nil environment")
 	}
@@ -326,7 +325,7 @@ func (a *AdapCC) Overheads() (profiling, solving, setup time.Duration) {
 
 // Run implements backend.Backend: it validates the request, synthesises
 // (or reuses) the strategy, and executes it. It is the single execution
-// entry point — what used to be RunPartial and the internal fast path are
+// entry point — partial collectives and the internal fast path are
 // expressed as options:
 //
 //	a.Run(req)                                   // full collective
@@ -363,17 +362,6 @@ func (a *AdapCC) Run(req backend.Request, opts ...backend.RunOption) error {
 		op.Active = active
 	}
 	return a.env.Exec.Run(op)
-}
-
-// RunPartial executes a collective among ready workers only, using the
-// given relays (phase 1 of the adaptive relay control).
-//
-// Deprecated: use Run with backend.WithRelays.
-func (a *AdapCC) RunPartial(req backend.Request, relays []int) error {
-	if relays == nil {
-		relays = []int{}
-	}
-	return a.Run(req, backend.WithRelays(relays...))
 }
 
 // Strategy synthesises (with caching) the plan for a collective using the
@@ -425,7 +413,6 @@ func (a *AdapCC) synthesize(p strategy.Primitive, bytes int64, ranks, relays []i
 		Root:       root,
 		M:          a.opts.M,
 		ExactM:     a.opts.ExactM,
-		ChunkGrid:  a.opts.ChunkGrid,
 		FastSearch: fast,
 		Sketch:     a.opts.Sketch,
 	})

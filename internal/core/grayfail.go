@@ -40,21 +40,11 @@ type GrayfailOptions struct {
 	OnVerdict func(grayfail.Event)
 }
 
-// EnableGrayfail installs the in-fabric congestion detector from an
-// explicit options struct — a thin wrapper over the installer StartGrayfail
-// shares.
-//
-// Deprecated: use StartGrayfail with With* grayfail options.
-func (a *AdapCC) EnableGrayfail(opts GrayfailOptions) *grayfail.Monitor {
-	return a.installGrayfail(opts)
-}
-
-// installGrayfail is the detector installer behind StartGrayfail and
-// EnableGrayfail (idempotent: the first call's knobs win, later calls
-// return the existing monitor). Every network edge is watched against its
-// current nominal service rate — enable after Setup, so profiled baselines
-// are in place, and before any congestion starts. Verdicts drive the
-// adaptation:
+// EnableGrayfail installs the in-fabric congestion detector (idempotent:
+// the first call's knobs win, later calls return the existing monitor).
+// Every network edge is watched against its current nominal service rate
+// — enable after Setup, so profiled baselines are in place, and before any
+// congestion starts. Verdicts drive the adaptation:
 //
 //   - degraded  → DegradeLink: the link's bandwidths are down-weighted in
 //     the cost view and the next synthesis re-solves around it (counted as
@@ -66,7 +56,7 @@ func (a *AdapCC) EnableGrayfail(opts GrayfailOptions) *grayfail.Monitor {
 //
 // The monitor ticks until Stop is called on it; stop it (or keep a bounded
 // horizon) before draining the engine.
-func (a *AdapCC) installGrayfail(opts GrayfailOptions) *grayfail.Monitor {
+func (a *AdapCC) EnableGrayfail(opts GrayfailOptions) *grayfail.Monitor {
 	if a.grayMon != nil {
 		return a.grayMon
 	}

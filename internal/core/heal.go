@@ -23,30 +23,20 @@ import (
 type HealOptions struct {
 	health.Options
 	// OnHeal observes each promotion after the controller has applied it
-	// (exclusion lifted, measurements absorbed, coordinator notified).
+	// (exclusion lifted, measurements absorbed).
 	OnHeal func(health.Event)
 	// OnCondemn observes targets written off permanently after
 	// GiveUpAfter relapses.
 	OnCondemn func(health.Event)
 }
 
-// EnableHealing installs the background health monitor from an explicit
-// options struct — a thin wrapper over the installer StartHealing shares.
-//
-// Deprecated: use StartHealing with With* heal options.
+// EnableHealing installs the background health monitor (idempotent: the
+// first call's knobs win, later calls return the existing monitor). It
+// also runs implicitly from RunResilient when WithHeal is set. Exclusions
+// registered by the fault path are watched, probed over the live fabric
+// and devices, and — after K consecutive successful probes — re-admitted:
+// ReadmitLink/ReadmitRank, measurements absorbed, then OnHeal observes.
 func (a *AdapCC) EnableHealing(opts HealOptions) *health.Monitor {
-	return a.installHealing(opts)
-}
-
-// installHealing is the monitor installer behind StartHealing and
-// EnableHealing (idempotent: the first call's knobs win, later calls
-// return the existing monitor). It also runs implicitly from RunResilient
-// when ResilientOptions.Heal is set. Exclusions registered by the fault
-// path are watched, probed over the live fabric and devices, and — after K
-// consecutive successful probes — re-admitted: ReadmitLink/ReadmitRank,
-// measurements absorbed, the last known coordinator told to Readmit the
-// rank.
-func (a *AdapCC) installHealing(opts HealOptions) *health.Monitor {
 	if a.healer != nil {
 		return a.healer
 	}
@@ -76,17 +66,13 @@ func (a *AdapCC) installHealing(opts HealOptions) *health.Monitor {
 func (a *AdapCC) Healer() *health.Monitor { return a.healer }
 
 // onHealed is the monitor's promotion hook: lift the exclusion, absorb the
-// re-profiled measurements, propagate the rank to the coordinator, then let
-// the user observe.
+// re-profiled measurements, then let the user observe.
 func (a *AdapCC) onHealed(ev health.Event) {
 	switch ev.Kind {
 	case health.KindLink:
 		a.ReadmitLink(ev.From, ev.To)
 	case health.KindRank:
 		a.ReadmitRank(ev.Rank)
-		if a.healCo != nil {
-			a.healCo.Readmit(ev.Rank)
-		}
 	}
 	a.AbsorbMeasurements(ev.Measurements)
 	a.recordHealEvent("healed", ev.Kind.String())

@@ -18,7 +18,6 @@ import (
 
 	"adapcc/internal/backend"
 	"adapcc/internal/collective"
-	"adapcc/internal/relay"
 	"adapcc/internal/synth"
 	"adapcc/internal/topology"
 )
@@ -38,11 +37,6 @@ type ResilientOptions struct {
 	Recovery collective.Recovery
 	// MaxAttempts bounds execution attempts (default DefaultMaxAttempts).
 	MaxAttempts int
-	// Coordinator, when non-nil, receives every fault via ReportLinkFault
-	// so rank exclusions propagate to the training control loop alongside
-	// the T_fault path. With healing enabled it also receives Readmit
-	// calls for ranks that recover.
-	Coordinator *relay.Coordinator
 	// Heal, when non-nil, opts into elastic healing (heal.go): every
 	// exclusion this run makes is watched by a background health monitor
 	// and re-admitted once it passes probation. The first RunResilient
@@ -64,12 +58,6 @@ func WithRecovery(rec collective.Recovery) ResilientOption {
 // WithMaxAttempts bounds execution attempts (default DefaultMaxAttempts).
 func WithMaxAttempts(n int) ResilientOption {
 	return func(o *ResilientOptions) { o.MaxAttempts = n }
-}
-
-// WithCoordinator propagates every fault to a relay coordinator via
-// ReportLinkFault (and, with healing, Readmit).
-func WithCoordinator(co *relay.Coordinator) ResilientOption {
-	return func(o *ResilientOptions) { o.Coordinator = co }
 }
 
 // WithHeal opts into elastic healing: every exclusion this run makes is
@@ -488,13 +476,6 @@ func (a *AdapCC) RunResilient(req backend.Request, onDone func(ResilientResult, 
 	for _, o := range options {
 		o(&opts)
 	}
-	return a.RunResilientWithOptions(req, opts, onDone)
-}
-
-// RunResilientWithOptions is RunResilient over an explicit options struct.
-//
-// Deprecated: use RunResilient with With* resilient options.
-func (a *AdapCC) RunResilientWithOptions(req backend.Request, opts ResilientOptions, onDone func(ResilientResult, error)) error {
 	if onDone == nil {
 		return fmt.Errorf("core: RunResilient needs an onDone callback")
 	}
@@ -516,9 +497,6 @@ func (a *AdapCC) RunResilientWithOptions(req backend.Request, opts ResilientOpti
 	}
 	if opts.Heal != nil {
 		a.EnableHealing(*opts.Heal)
-	}
-	if opts.Coordinator != nil {
-		a.healCo = opts.Coordinator
 	}
 	rr := &resilientRun{
 		a:       a,
@@ -643,11 +621,6 @@ func (rr *resilientRun) onFault(rep collective.FaultReport) {
 		if a.healer != nil {
 			a.healer.WatchRank(rep.Rank)
 		}
-	}
-	if rr.opts.Coordinator != nil {
-		rr.opts.Coordinator.ReportLinkFault(relay.LinkFault{
-			Edge: rep.Edge, From: rep.From, To: rep.To, Rank: rep.Rank, At: rep.At,
-		})
 	}
 	if rr.attempts >= rr.opts.MaxAttempts {
 		rr.events = append(rr.events, ev)

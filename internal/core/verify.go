@@ -38,7 +38,6 @@ func (a *AdapCC) multiRootStrategy(p strategy.Primitive, bytes int64, ranks []in
 		Bytes:      bytes,
 		Ranks:      ranks,
 		Relays:     cfg.Relays,
-		ChunkGrid:  a.opts.ChunkGrid,
 		FastSearch: cfg.FastPath,
 		Sketch:     a.opts.Sketch,
 	})
@@ -64,21 +63,7 @@ func (a *AdapCC) verifyStrategy(st *strategy.Strategy, multiRoot bool) error {
 	if !a.opts.Verify {
 		return nil
 	}
-	var (
-		prog *ir.Program
-		err  error
-	)
-	switch {
-	case multiRoot && st.Primitive == strategy.Reduce:
-		prog, err = ir.ReduceScatterFromStrategy(st)
-	case multiRoot && st.Primitive == strategy.Broadcast:
-		prog, err = ir.AllGatherFromStrategy(st)
-	default:
-		prog, err = ir.FromStrategy(st)
-	}
-	if err == nil {
-		err = ir.Verify(prog)
-	}
+	_, err := VerifyStrategy(st, multiRoot)
 	ir.RecordVerify(a.reg, a.env.Engine.Now(), err)
 	if err != nil {
 		return fmt.Errorf("core: synthesised %v strategy (%s bytes) failed verification: %w",
@@ -94,21 +79,7 @@ func (a *AdapCC) verifyStrategy(st *strategy.Strategy, multiRoot bool) error {
 // delivery + exactly-once reduction), never assumed. Decisions land in the
 // same adapcc_ir_verify_total{result} counter.
 func (a *AdapCC) verifyPatched(st *strategy.Strategy, multiRoot bool) error {
-	var (
-		prog *ir.Program
-		err  error
-	)
-	switch {
-	case multiRoot && st.Primitive == strategy.Reduce:
-		prog, err = ir.ReduceScatterFromStrategy(st)
-	case multiRoot && st.Primitive == strategy.Broadcast:
-		prog, err = ir.AllGatherFromStrategy(st)
-	default:
-		prog, err = ir.FromStrategy(st)
-	}
-	if err == nil {
-		err = ir.Verify(prog)
-	}
+	_, err := VerifyStrategy(st, multiRoot)
 	ir.RecordVerify(a.reg, a.env.Engine.Now(), err)
 	if err != nil {
 		return fmt.Errorf("core: patched %v strategy failed verification: %w", st.Primitive, err)
@@ -118,8 +89,10 @@ func (a *AdapCC) verifyPatched(st *strategy.Strategy, multiRoot bool) error {
 
 // VerifyStrategy lowers and verifies an already-built strategy program —
 // the adapccsim -verify flag uses it to check whatever plan a run is
-// about to execute — and returns the IR program for reporting. The
-// lowering is chosen like verifyStrategy's.
+// about to execute, and the controller's verification gates share it — and
+// returns the IR program for reporting. multiRoot selects the
+// ReduceScatter/AllGather lowering; otherwise the strategy's own primitive
+// decides.
 func VerifyStrategy(st *strategy.Strategy, multiRoot bool) (*ir.Program, error) {
 	var (
 		prog *ir.Program

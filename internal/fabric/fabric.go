@@ -222,15 +222,10 @@ func (f *Fabric) SendStream(edge topology.EdgeID, stream StreamID, size int64, p
 	return f.send(edge, stream, size, payload, onArrive, nil)
 }
 
-// SendStreamTo is SendStream with an interface arrival callback (see
-// Arrival): the per-chunk hot path of the collective executor uses it so
-// posting a chunk allocates no closure.
-func (f *Fabric) SendStreamTo(edge topology.EdgeID, stream StreamID, size int64, payload any, arr Arrival) *Transfer {
-	return f.sendClass(edge, stream, 0, size, payload, nil, arr)
-}
-
-// SendStreamClassTo is SendStreamTo under a registered traffic class: the
-// chunk competes at every shared link with that class's priority and
+// SendStreamClassTo is SendStream with an interface arrival callback (see
+// Arrival) under a registered traffic class: the per-chunk hot path of the
+// collective executor uses it so posting a chunk allocates no closure, and
+// the chunk competes at every shared link with that class's priority and
 // weight. Class 0 is the default best-effort class.
 func (f *Fabric) SendStreamClassTo(edge topology.EdgeID, stream StreamID, class ClassID, size int64, payload any, arr Arrival) *Transfer {
 	return f.sendClass(edge, stream, class, size, payload, nil, arr)

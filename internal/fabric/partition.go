@@ -261,12 +261,6 @@ func (sc *ShardedCongest) ForcePauseGlobal(ge topology.EdgeID, on bool) {
 	sc.congs[sc.sh.part.EdgeDomain[ge]].ForcePause(sc.sh.part.EdgeLocal[ge], on)
 }
 
-// PausedGlobal reports whether a global edge is currently pause-throttled.
-// Owning-domain events only.
-func (sc *ShardedCongest) PausedGlobal(ge topology.EdgeID) bool {
-	return sc.congs[sc.sh.part.EdgeDomain[ge]].Paused(sc.sh.part.EdgeLocal[ge])
-}
-
 // MaxQueueBytesGlobal returns a global edge's high-water queue occupancy.
 // Only meaningful once Run has returned (or from owning-domain events).
 func (sc *ShardedCongest) MaxQueueBytesGlobal(ge topology.EdgeID) int64 {

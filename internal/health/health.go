@@ -647,15 +647,6 @@ func (m *Monitor) LinkState(from, to topology.NodeID) (State, bool) {
 	return t.state, true
 }
 
-// RankState reports the state of a watched worker.
-func (m *Monitor) RankState(rank int) (State, bool) {
-	t, ok := m.targets[targetKey{kind: KindRank, a: -1, b: -1, rank: rank}]
-	if !ok {
-		return 0, false
-	}
-	return t.state, true
-}
-
 // Watched returns how many targets are under active watch (condemned ones
 // excluded).
 func (m *Monitor) Watched() int { return m.watchedCount() }

@@ -28,26 +28,6 @@ func Lower(st *strategy.Strategy) (*Lowered, error) {
 	return &Lowered{Program: p, Strategy: st}, nil
 }
 
-// LowerReduceScatter lowers a multi-root Reduce assembly into an
-// executable ReduceScatter program.
-func LowerReduceScatter(st *strategy.Strategy) (*Lowered, error) {
-	p, err := ReduceScatterFromStrategy(st)
-	if err != nil {
-		return nil, err
-	}
-	return &Lowered{Program: p, Strategy: st}, nil
-}
-
-// LowerAllGather lowers a multi-root Broadcast assembly into an
-// executable AllGather program.
-func LowerAllGather(st *strategy.Strategy) (*Lowered, error) {
-	p, err := AllGatherFromStrategy(st)
-	if err != nil {
-		return nil, err
-	}
-	return &Lowered{Program: p, Strategy: st}, nil
-}
-
 // Play verifies the program and, only if the proof passes, runs the
 // backing strategy on the executor. The op's Strategy field is supplied
 // by the Lowered pair; every other field (inputs, mode, class, OnDone)

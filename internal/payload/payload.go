@@ -87,10 +87,6 @@ type dense struct {
 // payload aliases the slice; writes are visible to the caller.
 func WrapDense(data []float32) Payload { return dense{data: data} }
 
-// NewDense allocates a zeroed dense payload of n elements (not pooled —
-// use Arena.Scratch for recyclable buffers).
-func NewDense(n int) Payload { return dense{data: make([]float32, n)} }
-
 func (d dense) Mode() Mode       { return Dense }
 func (d dense) Len() int         { return len(d.data) }
 func (d dense) SizeBytes() int64 { return int64(len(d.data)) * 4 }

@@ -108,15 +108,6 @@ func (e *Engine) Do(t Time, fn func()) {
 	e.schedule(t, fn, nil)
 }
 
-// DoAfter schedules fn to run d after now, handle-free like Do. Negative d
-// is clamped to zero.
-func (e *Engine) DoAfter(d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	e.schedule(e.now+d, fn, nil)
-}
-
 // DoCall schedules c.Call() at absolute virtual time t, pooled and
 // handle-free like Do, but without even the closure: the Caller's receiver
 // carries the callback state.

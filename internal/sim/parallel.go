@@ -105,9 +105,6 @@ func (p *Parallel) NewDomain(name string, seed int64) (int, *Engine) {
 // Domain returns the engine of domain i.
 func (p *Parallel) Domain(i int) *Engine { return p.domains[i] }
 
-// NumDomains returns the number of domains.
-func (p *Parallel) NumDomains() int { return len(p.domains) }
-
 // Post schedules fn to run in domain dst, delay after domain src's current
 // time. This is the only legal cross-domain channel. The delay must be at
 // least the lookahead — that is the conservative contract that makes the

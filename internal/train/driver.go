@@ -88,10 +88,8 @@ type AdaptiveDriver struct {
 	// aggregated in the last iteration (1.0 with phase 2).
 	lastQuality float64
 
-	// healer watches faulted ranks and readmits them once their hardware
-	// passes probation (nil until EnableHealing); onFault is the user's
-	// fault observer, invoked after the healer registered the ranks.
-	healer  *health.Monitor
+	// onFault is the user's fault observer, invoked after the controller's
+	// health monitor (when installed) registered the ranks.
 	onFault func([]int)
 
 	// per-iteration timing for partial-join accounting
@@ -144,11 +142,11 @@ func (d *AdaptiveDriver) Quality() float64 { return d.lastQuality }
 func (d *AdaptiveDriver) Readmit(rank int) { d.co.Readmit(rank) }
 
 // faulted is the coordinator's OnFault hook: hand every excluded rank to
-// the healer (when installed) before the user's observer sees it.
+// the health monitor (when installed) before the user's observer sees it.
 func (d *AdaptiveDriver) faulted(ranks []int) {
-	if d.healer != nil {
+	if m := d.a.Healer(); m != nil {
 		for _, r := range ranks {
-			d.healer.WatchRank(r)
+			m.WatchRank(r)
 		}
 	}
 	if d.onFault != nil {
@@ -156,35 +154,28 @@ func (d *AdaptiveDriver) faulted(ranks []int) {
 	}
 }
 
-// EnableHealing installs a health monitor over the coordinator's fault
-// path (idempotent): ranks excluded by T_fault or link-fault reports are
-// watched, probed over the live fabric and device, and — after passing
-// probation — readmitted into the next iteration, with the healed edges'
-// fresh measurements absorbed into the cost model. The data loader
-// redistributes back automatically: the trainer recomputes per-GPU batches
-// from Alive() every iteration.
+// EnableHealing installs the controller's health monitor
+// (core.AdapCC.EnableHealing, idempotent) over the coordinator's fault
+// path: ranks excluded by T_fault or link-fault reports are watched,
+// probed over the live fabric and device, and — after passing probation —
+// re-admitted by the controller, with the healed edges' fresh measurements
+// absorbed into the cost model, and readmitted by the coordinator into the
+// next iteration. The data loader redistributes back automatically: the
+// trainer recomputes per-GPU batches from Alive() every iteration.
 func (d *AdaptiveDriver) EnableHealing(opts health.Options) *health.Monitor {
-	if d.healer != nil {
-		return d.healer
-	}
-	env := d.a.Env()
-	d.healer = health.New(env.Engine, env.Fabric, env.GPUs, opts, health.Hooks{
+	return d.a.EnableHealing(core.HealOptions{
+		Options: opts,
 		OnHeal: func(ev health.Event) {
-			switch ev.Kind {
-			case health.KindRank:
-				d.a.ReadmitRank(ev.Rank)
+			if ev.Kind == health.KindRank {
 				d.co.Readmit(ev.Rank)
-			case health.KindLink:
-				d.a.ReadmitLink(ev.From, ev.To)
 			}
-			d.a.AbsorbMeasurements(ev.Measurements)
 		},
 	})
-	return d.healer
 }
 
-// Healer returns the driver's health monitor (nil before EnableHealing).
-func (d *AdaptiveDriver) Healer() *health.Monitor { return d.healer }
+// Healer returns the controller's health monitor (nil before
+// EnableHealing).
+func (d *AdaptiveDriver) Healer() *health.Monitor { return d.a.Healer() }
 
 // Begin implements Driver.
 func (d *AdaptiveDriver) Begin(readyAt map[int]time.Duration, done func(execTime time.Duration)) {

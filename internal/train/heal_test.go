@@ -50,7 +50,7 @@ func TestHealReadmitsRecoveredRank(t *testing.T) {
 		GiveUpAfter:   200, // never condemn: the hang is long but finite
 		MaxQuarantine: 500 * time.Millisecond,
 	})
-	if d.EnableHealing(health.Options{}) != m {
+	if d.EnableHealing(health.Options{}) != m || d.Healer() != a.Healer() {
 		t.Fatal("EnableHealing is not idempotent")
 	}
 

@@ -35,7 +35,8 @@ func setupAdapCC(t *testing.T, c *topology.Cluster) (*backend.Env, *core.AdapCC)
 
 func runTraining(t *testing.T, cfg Config) *Stats {
 	t.Helper()
-	tr, err := NewTrainer(cfg)
+	tr, err := New(cfg.Workload, cfg.Env, cfg.Cluster, cfg.Driver, cfg.Iterations,
+		func(c *Config) { *c = cfg })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +348,7 @@ func TestReprofileHookInvoked(t *testing.T) {
 }
 
 func TestTrainerValidation(t *testing.T) {
-	if _, err := NewTrainer(Config{}); err == nil {
+	if _, err := New(Workload{}, nil, nil, nil, 1); err == nil {
 		t.Error("empty config accepted")
 	}
 }

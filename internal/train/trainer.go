@@ -288,13 +288,6 @@ func New(w Workload, env *backend.Env, cl *topology.Cluster, d Driver, iteration
 	for _, o := range options {
 		o(&cfg)
 	}
-	return NewTrainer(cfg)
-}
-
-// NewTrainer validates an explicit Config.
-//
-// Deprecated: use New with With* functional options.
-func NewTrainer(cfg Config) (*Trainer, error) {
 	if cfg.Env == nil || cfg.Cluster == nil || cfg.Driver == nil {
 		return nil, fmt.Errorf("train: missing env, cluster or driver")
 	}
